@@ -10,6 +10,9 @@ type Endpoint struct {
 	Port uint16
 }
 
+// endpointSize is an encoded Endpoint's length: IP and port.
+const endpointSize = 4 + 2
+
 func appendEndpoint(dst []byte, e Endpoint) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, e.IP)
 	return binary.LittleEndian.AppendUint16(dst, e.Port)
@@ -38,7 +41,16 @@ type FileEntry struct {
 	Availability uint32
 }
 
-func appendFileEntry(dst []byte, f FileEntry) []byte {
+// fileEntryMinSize is the smallest encoded FileEntry: hash, size and an
+// empty tag list.
+const fileEntryMinSize = 16 + 8 + 4
+
+// AppendFileEntry appends the wire encoding of one file entry (as it
+// appears in publications, browse answers and search results) to dst.
+// It is the one entry encoder: directories that pre-encode their
+// catalogue call it too, so a pre-encoded reply stays byte-identical to
+// one rendered from FileEntry values.
+func AppendFileEntry(dst []byte, f FileEntry) []byte {
 	dst = append(dst, f.Hash[:]...)
 	dst = binary.LittleEndian.AppendUint64(dst, f.Size)
 	dst = binary.LittleEndian.AppendUint32(dst, 3) // tag count
@@ -77,7 +89,7 @@ func readFileEntry(r *reader) (FileEntry, error) {
 func appendFileEntries(dst []byte, files []FileEntry) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(files)))
 	for _, f := range files {
-		dst = appendFileEntry(dst, f)
+		dst = AppendFileEntry(dst, f)
 	}
 	return dst
 }
@@ -87,8 +99,8 @@ func readFileEntries(r *reader) ([]FileEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize/25 {
-		return nil, ErrTooLarge
+	if err := r.fits(n, fileEntryMinSize); err != nil {
+		return nil, err
 	}
 	files := make([]FileEntry, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -108,6 +120,10 @@ type UserEntry struct {
 	Endpoint Endpoint
 	Nickname string
 }
+
+// userEntryMinSize is the smallest encoded UserEntry: hash, client ID,
+// endpoint and an empty nickname.
+const userEntryMinSize = 16 + 4 + endpointSize + 2
 
 func appendUserEntry(dst []byte, u UserEntry) []byte {
 	dst = append(dst, u.Hash[:]...)
@@ -201,8 +217,8 @@ func decodeServerList(r *reader) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
+	if err := r.fits(n, endpointSize); err != nil {
+		return nil, err
 	}
 	m := &ServerList{Servers: make([]Endpoint, 0, n)}
 	for i := uint32(0); i < n; i++ {
@@ -302,8 +318,8 @@ func decodeFoundSources(r *reader) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
+	if err := r.fits(n, endpointSize); err != nil {
+		return nil, err
 	}
 	for i := uint32(0); i < n; i++ {
 		e, err := readEndpoint(r)
@@ -350,8 +366,8 @@ func decodeSearchUserResult(r *reader) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize/27 {
-		return nil, ErrTooLarge
+	if err := r.fits(n, userEntryMinSize); err != nil {
+		return nil, err
 	}
 	m := &SearchUserResult{Users: make([]UserEntry, 0, n)}
 	for i := uint32(0); i < n; i++ {

@@ -68,6 +68,9 @@ const (
 	tagKindUint32 = 0x03
 )
 
+// tagMinSize is the smallest encoded tag: kind, name and an empty string.
+const tagMinSize = 2 + 2
+
 // Errors returned by the codec.
 var (
 	ErrBadMarker  = errors.New("protocol: bad frame marker")
@@ -141,8 +144,8 @@ func readTags(r *reader) ([]Tag, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxMessageSize/6 {
-		return nil, ErrTooLarge
+	if err := r.fits(n, tagMinSize); err != nil {
+		return nil, err
 	}
 	tags := make([]Tag, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -225,6 +228,16 @@ func (r *reader) string() (string, error) {
 	return s, nil
 }
 
+// fits checks that n elements of at least minSize bytes each can still
+// be in the payload, so a decoder sizes its slice by the bytes that
+// actually arrived, never by a count the peer merely claims.
+func (r *reader) fits(n uint32, minSize int) error {
+	if uint64(n)*uint64(minSize) > uint64(len(r.buf)-r.off) {
+		return ErrTruncated
+	}
+	return nil
+}
+
 func (r *reader) done() error {
 	if r.off != len(r.buf) {
 		return fmt.Errorf("protocol: %d trailing bytes", len(r.buf)-r.off)
@@ -252,7 +265,13 @@ const frameHeaderSize = 5
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, ProtoMarker, 0, 0, 0, 0, m.Opcode())
-	dst = m.appendPayload(dst)
+	return endFrame(m.appendPayload(dst), start)
+}
+
+// endFrame patches the payload size of the frame that begins at start.
+// A payload over MaxMessageSize is cut off again: dst comes back
+// truncated to start, with ErrTooLarge.
+func endFrame(dst []byte, start int) ([]byte, error) {
 	size := len(dst) - start - frameHeaderSize
 	if size > MaxMessageSize {
 		return dst[:start], ErrTooLarge

@@ -2,10 +2,12 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -116,6 +118,41 @@ func TestOversizeFrameRejected(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB frame
 	if _, err := ReadMessage(&buf); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestClaimedCountsBoundedByFrame sends frames of a few bytes whose
+// element counts claim far more entries than the frame holds: each must
+// fail as truncated without allocating in proportion to the claim (an
+// OfferFiles claiming 671k entries used to allocate ~43 MB up front).
+func TestClaimedCountsBoundedByFrame(t *testing.T) {
+	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
+	var hash [16]byte
+	for _, tc := range []struct {
+		name string
+		body []byte // opcode and payload
+	}{
+		{"OfferFiles", append([]byte{OpOfferFiles}, count(MaxMessageSize/25)...)},
+		{"SearchResult", append([]byte{OpSearchResult}, count(MaxMessageSize/25)...)},
+		{"ServerList", append([]byte{OpServerList}, count(MaxMessageSize/6)...)},
+		{"FoundSources", append(append([]byte{OpFoundSources}, hash[:]...), count(MaxMessageSize/6)...)},
+		{"SearchUserResult", append([]byte{OpSearchUserResult}, count(MaxMessageSize/27)...)},
+		{"LoginRequest.tags", append(append([]byte{OpLoginRequest}, make([]byte, 16+6)...), count(MaxMessageSize/6)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frame := append([]byte{ProtoMarker}, count(uint32(len(tc.body)))...)
+			frame = append(frame, tc.body...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadMessage(bytes.NewReader(frame))
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("err = %v, want ErrTruncated", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<10 {
+				t.Fatalf("%d-byte frame allocated %d bytes", len(frame), alloc)
+			}
+		})
 	}
 }
 

@@ -89,15 +89,27 @@ type SourceStreamer interface {
 	ForEachSource(hash [16]byte, yield func(Endpoint) bool)
 }
 
+// SearchAppender is an optional Directory extension: directories that
+// hold their catalogue pre-encoded let AppendReply render SearchResult
+// by copying entry bytes instead of materializing and re-encoding a
+// FileEntry slice.
+type SearchAppender interface {
+	// AppendSearchResult appends the SearchResult payload for the
+	// (lowercased) keyword to dst — the entry count, then the entries —
+	// byte-identical to encoding SearchFiles(keyword).
+	AppendSearchResult(dst []byte, keyword string) []byte
+}
+
 // AppendReply answers one request by appending the complete reply frame
 // to dst, returning the extended slice. It is the serving hot path's
 // equivalent of Handle + WriteMessage — byte-identical output — but the
 // reply-cap paths never materialize intermediate slices or Message
 // values: SearchUserResult entries (the 200-cap nickname sweep reply)
-// and, when the directory implements SourceStreamer, FoundSources
-// endpoints are rendered directly into the frame while the count and
-// size fields are patched afterwards. handled=false mirrors Handle: the
-// request is not the core's to answer, and dst is returned unchanged.
+// and, when the directory implements SourceStreamer or SearchAppender,
+// FoundSources endpoints and SearchResult entries are rendered directly
+// into the frame while the size field (and a streamed count) is patched
+// afterwards. handled=false mirrors Handle: the request is not the
+// core's to answer, and dst is returned unchanged.
 func (s *ServerCore) AppendReply(dst []byte, m Message) (out []byte, handled bool) {
 	switch req := m.(type) {
 	case *GetServerList:
@@ -108,10 +120,23 @@ func (s *ServerCore) AppendReply(dst []byte, m Message) (out []byte, handled boo
 	case *GetSources:
 		return s.appendSources(dst, req), true
 	case *SearchRequest:
-		out, _ = AppendMessage(dst, &SearchResult{Files: s.Dir.SearchFiles(strings.ToLower(req.Keyword))})
-		return out, true
+		return s.appendSearch(dst, req), true
 	}
 	return dst, false
+}
+
+func (s *ServerCore) appendSearch(dst []byte, req *SearchRequest) []byte {
+	kw := strings.ToLower(req.Keyword)
+	app, ok := s.Dir.(SearchAppender)
+	if !ok {
+		dst, _ = AppendMessage(dst, &SearchResult{Files: s.Dir.SearchFiles(kw)})
+		return dst
+	}
+	start := len(dst)
+	dst = append(dst, ProtoMarker, 0, 0, 0, 0, OpSearchResult)
+	// An oversized reply is dropped, as AppendMessage drops it.
+	dst, _ = endFrame(app.AppendSearchResult(dst, kw), start)
+	return dst
 }
 
 // beginCountedFrame appends a frame header, opcode and placeholder

@@ -21,19 +21,12 @@ import (
 // into reused frame buffers, pooled read scratch and write coalescing.
 // depth=1 is synchronous request-reply; depth=16 pipelines bursts, the
 // shape where reply coalescing pays. The gated extra is ns/query
-// (anchor-normalized wall clock); queries/sec is informational.
+// (anchor-normalized wall clock); queries/sec is informational. The
+// keyword and source hash come from probeInputs, so every run measures
+// the same reply sizes.
 func BenchmarkServeTCP(b *testing.B) {
 	snap := testSnap()
-	var someHash [16]byte
-	for h := range snap.byHash {
-		someHash = h
-		break
-	}
-	var kw string
-	for k := range snap.keyword {
-		kw = k
-		break
-	}
+	someHash, kw := probeInputs(snap)
 	const conns = 8
 	for _, mode := range []string{"alloc", "fast"} {
 		for _, depth := range []int{1, 16} {

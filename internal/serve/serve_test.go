@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -9,11 +10,14 @@ import (
 	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"edonkey/internal/protocol"
+	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
 
@@ -41,6 +45,29 @@ var testSnap = sync.OnceValue(func() *Snapshot {
 	return SnapshotFromWorld(w, w.Day())
 })
 
+// sortedKeywords returns the snapshot's indexed keywords in order.
+func sortedKeywords(snap *Snapshot) []string {
+	kws := make([]string, 0, len(snap.keyword))
+	for k := range snap.keyword {
+		kws = append(kws, k)
+	}
+	slices.Sort(kws)
+	return kws
+}
+
+// probeInputs picks a source-query hash and a search keyword
+// deterministically, so tests and benchmarks ask for the same replies
+// on every run: the published file of median hash and the keyword of
+// median posting length (ties broken by the keyword), both a typical
+// reply size.
+func probeInputs(snap *Snapshot) (hit [16]byte, kw string) {
+	kws := sortedKeywords(snap)
+	slices.SortStableFunc(kws, func(a, b string) int {
+		return cmp.Compare(len(snap.keyword[a]), len(snap.keyword[b]))
+	})
+	return snap.fileHash[len(snap.fileHash)/2], kws[len(kws)/2]
+}
+
 // corpus returns a request mix covering every reply shape: empty and
 // truncated user sweeps, hit and miss source/keyword queries, the
 // server list, logins and requests the first tier rejects.
@@ -49,16 +76,7 @@ func corpus(t testing.TB) []protocol.Message {
 	if snap.NumUsers() == 0 || snap.NumFiles() == 0 {
 		t.Fatal("test snapshot is empty")
 	}
-	var hit [16]byte
-	var kw string
-	for h := range snap.byHash {
-		hit = h
-		break
-	}
-	for k := range snap.keyword {
-		kw = k
-		break
-	}
+	hit, kw := probeInputs(snap)
 	var miss [16]byte
 	miss[0] = 0xFF
 	return []protocol.Message{
@@ -113,6 +131,81 @@ func TestAppendReplyMatchesHandle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSearchAppendMatchesReference pins the pre-encoded search path
+// (Snapshot.AppendSearchResult via AppendReply) byte for byte against
+// the reference SearchFiles + WriteMessage pipeline for every indexed
+// keyword, an upper-case query and a miss, on a world snapshot and on a
+// snapshot of a captured trace, and checks it allocates nothing once
+// the reply buffer has grown.
+func TestSearchAppendMatchesReference(t *testing.T) {
+	tr, err := trace.ReadFile("../crawler/testdata/golden_crawl_s1.edt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"world", testSnap()},
+		{"trace", SnapshotFromTrace(tr, len(tr.Days)-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := tc.snap
+			if snap.NumUsers() == 0 || snap.NumFiles() == 0 {
+				t.Fatal("snapshot is empty")
+			}
+			core := protocol.ServerCore{Dir: snap, MaxUserReplies: 200, SupportsUserSearch: true}
+			_, mid := probeInputs(snap)
+			queries := append(sortedKeywords(snap), strings.ToUpper(mid), "no_such_keyword")
+			t.Logf("%d users, %d files, %d queries", snap.NumUsers(), snap.NumFiles(), len(queries))
+			var got []byte
+			var want bytes.Buffer
+			for _, kw := range queries {
+				req := &protocol.SearchRequest{Keyword: kw}
+				ref, _ := core.Handle(req)
+				want.Reset()
+				if err := protocol.WriteMessage(&want, ref); err != nil {
+					t.Fatalf("%q: reference encode: %v", kw, err)
+				}
+				got, _ = core.AppendReply(got[:0], req)
+				if !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%q: AppendReply differs from Handle+WriteMessage (%d vs %d bytes)", kw, len(got), want.Len())
+				}
+				hits := len(ref.(*protocol.SearchResult).Files)
+				if kw == "no_such_keyword" {
+					if hits != 0 {
+						t.Fatalf("miss query found %d files", hits)
+					}
+				} else if hits == 0 {
+					t.Fatalf("%q found nothing", kw)
+				}
+			}
+
+			got = slices.Grow(got[:0], 1<<20)
+			req := &protocol.SearchRequest{Keyword: mid}
+			if allocs := testing.AllocsPerRun(20, func() { got, _ = core.AppendReply(got[:0], req) }); allocs != 0 {
+				t.Fatalf("search AppendReply allocates %.1f times per reply", allocs)
+			}
+		})
+	}
+}
+
+// TestRetainScratch pins the read-scratch policy: buffers up to the
+// threshold are reused, a larger one is dropped.
+func TestRetainScratch(t *testing.T) {
+	small := make([]byte, 1, 512)
+	if got := retainScratch(small); len(got) != 1 || &got[0] != &small[0] {
+		t.Fatal("small scratch not retained")
+	}
+	edge := make([]byte, maxRetainedScratch)
+	if got := retainScratch(edge); cap(got) != maxRetainedScratch {
+		t.Fatal("threshold-sized scratch not retained")
+	}
+	if got := retainScratch(make([]byte, maxRetainedScratch+1)); got != nil {
+		t.Fatalf("oversized scratch retained (cap %d)", cap(got))
 	}
 }
 
@@ -206,11 +299,7 @@ func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 func TestServeStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	snap := testSnap()
-	var someHash [16]byte
-	for h := range snap.byHash {
-		someHash = h
-		break
-	}
+	someHash, _ := probeInputs(snap)
 	srv := New(snap, Config{MaxConns: 512})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -433,7 +522,7 @@ func TestSnapshotEpochSwap(t *testing.T) {
 	pc.SetDeadline(time.Now().Add(30 * time.Second))
 
 	before := replyStream(t, pc, []protocol.Message{&protocol.SearchUser{Query: ""}})
-	empty := build(nil, nil, nil) // an epoch with nobody logged in
+	empty := build(nil, 0, nil, nil) // an epoch with nobody logged in
 	srv.SetSnapshot(empty)
 	after := replyStream(t, pc, []protocol.Message{&protocol.SearchUser{Query: ""}})
 	if bytes.Equal(before, after) {

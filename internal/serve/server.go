@@ -267,7 +267,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			return
 		}
 		m, sc, err := protocol.ReadMessageInto(br, scratch)
-		scratch = sc
+		scratch = retainScratch(sc)
 		if err != nil {
 			return
 		}
@@ -287,6 +287,21 @@ func (s *Server) ServeConn(conn net.Conn) {
 			}
 		}
 	}
+}
+
+// maxRetainedScratch bounds the read scratch a connection keeps between
+// requests. Client requests are tiny, so a larger frame is a one-off (or
+// hostile) and its buffer goes back to the collector instead of staying
+// pinned for the life of the connection.
+const maxRetainedScratch = 64 << 10
+
+// retainScratch returns the read scratch to keep for the next request:
+// b itself, or nil when it outgrew maxRetainedScratch.
+func retainScratch(b []byte) []byte {
+	if cap(b) > maxRetainedScratch {
+		return nil
+	}
+	return b
 }
 
 // appendReply renders the reply frame for one request into dst (empty

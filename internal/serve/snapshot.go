@@ -6,9 +6,10 @@
 // daemon spends its life answering queries against a fixed day. This
 // package freezes one day of a world or trace into an immutable,
 // epoch-pinned Snapshot — packed columns, CSR holder postings, a
-// keyword index — whose read paths take no locks at all, and serves it
-// over TCP with a hot path that renders replies straight into reused
-// frame buffers (protocol.ServerCore.AppendReply).
+// keyword index, the catalogue's search entries pre-encoded — whose read
+// paths take no locks at all, and serves it over TCP with a hot path
+// that renders replies straight into reused frame buffers
+// (protocol.ServerCore.AppendReply).
 //
 // Swapping days is an atomic pointer swap of the whole Snapshot: a new
 // epoch is built off to the side and published, in-flight queries keep
@@ -19,6 +20,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -39,8 +41,9 @@ var DefaultServerEndpoint = protocol.Endpoint{IP: 0xFFFE0001, Port: 4661}
 // postings and a keyword index. It is immutable after construction —
 // every method is safe for unlimited concurrent use with zero
 // synchronization — and implements protocol.Directory plus the
-// SourceStreamer extension, so the server's hot path can stream source
-// replies straight into the frame buffer.
+// SourceStreamer and SearchAppender extensions, so the server's hot path
+// streams source replies and copies pre-encoded search entries straight
+// into the frame buffer.
 type Snapshot struct {
 	servers []protocol.Endpoint
 
@@ -53,16 +56,20 @@ type Snapshot struct {
 	userPort []uint16
 	clientID []uint32
 
-	// Published files (only files with at least one online source are
-	// indexed; anything else is invisible to queries, like an index no
-	// client published to).
+	// Published files, numbered in hash order (only files with at least
+	// one online source are indexed; anything else is invisible to
+	// queries, like an index no client published to). ent[entOff[fi]:
+	// entOff[fi+1]] is file fi's complete search entry, encoded once at
+	// freeze time; the other columns back the reference SearchFiles.
 	fileHash  [][16]byte
 	fileName  []string
 	fileSize  []uint64
 	fileType  []string
 	avail     []uint32
+	ent       []byte
+	entOff    []uint32
 	byHash    map[[16]byte]int32
-	keyword   map[string][]int32 // token -> file indices, hash-sorted
+	keyword   map[string][]int32 // token -> file indices, ascending (= hash order)
 	holderOff []int32
 	holderEps []protocol.Endpoint // CSR: per-file source endpoints, (IP, port)-sorted
 }
@@ -70,6 +77,7 @@ type Snapshot struct {
 var (
 	_ protocol.Directory      = (*Snapshot)(nil)
 	_ protocol.SourceStreamer = (*Snapshot)(nil)
+	_ protocol.SearchAppender = (*Snapshot)(nil)
 )
 
 // NumUsers returns how many users are logged in on the snapshot's day.
@@ -145,6 +153,19 @@ func (s *Snapshot) SearchFiles(kw string) []protocol.FileEntry {
 	return out
 }
 
+// AppendSearchResult appends the SearchResult payload for the keyword
+// token by copying each hit's pre-encoded entry
+// (protocol.SearchAppender): byte-identical to encoding SearchFiles, with
+// nothing materialized or re-encoded.
+func (s *Snapshot) AppendSearchResult(dst []byte, kw string) []byte {
+	fis := s.keyword[kw]
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(fis)))
+	for _, fi := range fis {
+		dst = append(dst, s.ent[s.entOff[fi]:s.entOff[fi+1]]...)
+	}
+	return dst
+}
+
 // clientPort mirrors the per-client port assignment used across the
 // simulation stack.
 func clientPort(i int) uint16 { return uint16(4000 + i%60000) }
@@ -175,18 +196,22 @@ type holder struct {
 	ep protocol.Endpoint
 }
 
-// fileRow is the construction-time catalogue row.
+// fileRow is the construction-time catalogue row; build sets fi, the
+// file's original index.
 type fileRow struct {
 	hash [16]byte
 	name string
 	size uint64
 	typ  string
+	fi   int32
 }
 
 // build assembles a Snapshot from the construction rows: sorts users by
-// nickname, keeps only files with sources, packs the holder postings
-// into CSR with (IP, port)-sorted spans and indexes keywords hash-sorted.
-func build(users []user, files []fileRow, holders []holder) *Snapshot {
+// nickname, materializes catalogue rows (row(fi) for fi < nfiles) only
+// for files with sources, numbers them in hash order, pre-encodes their
+// search entries, packs the holder postings into CSR with (IP,
+// port)-sorted spans and indexes keywords.
+func build(users []user, nfiles int, row func(fi int) fileRow, holders []holder) *Snapshot {
 	s := &Snapshot{servers: []protocol.Endpoint{DefaultServerEndpoint}}
 
 	slices.SortFunc(users, func(a, b user) int {
@@ -208,45 +233,54 @@ func build(users []user, files []fileRow, holders []holder) *Snapshot {
 		s.clientID[k] = u.id
 	}
 
-	// Source counts per original file index, then remap to the published
-	// subset (files somebody shares today).
-	counts := make([]int32, len(files))
-	for _, h := range holders {
-		counts[h.fi]++
-	}
-	remap := make([]int32, len(files))
-	for fi := range files {
-		remap[fi] = -1
-	}
+	// Source counts per original file index. Only the published subset
+	// (files somebody shares today) gets its row materialized, numbered
+	// in hash order; remap takes an original index to that number.
+	counts := make([]int32, nfiles)
 	published := 0
-	for fi, n := range counts {
-		if n > 0 {
-			remap[fi] = int32(published)
+	for _, h := range holders {
+		if counts[h.fi] == 0 {
 			published++
 		}
+		counts[h.fi]++
 	}
+	rows := make([]fileRow, 0, published)
+	for fi, n := range counts {
+		if n > 0 {
+			f := row(fi)
+			f.fi = int32(fi)
+			rows = append(rows, f)
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b fileRow) int {
+		return bytes.Compare(a.hash[:], b.hash[:])
+	})
+	remap := make([]int32, nfiles)
+	for p, f := range rows {
+		remap[f.fi] = int32(p)
+	}
+
 	s.fileHash = make([][16]byte, published)
 	s.fileName = make([]string, published)
 	s.fileSize = make([]uint64, published)
 	s.fileType = make([]string, published)
 	s.avail = make([]uint32, published)
+	s.entOff = make([]uint32, published+1)
 	s.byHash = make(map[[16]byte]int32, published)
 	s.holderOff = make([]int32, published+1)
-	for fi, f := range files {
-		p := remap[fi]
-		if p < 0 {
-			continue
-		}
+	for p, f := range rows {
+		n := counts[f.fi]
 		s.fileHash[p] = f.hash
 		s.fileName[p] = f.name
 		s.fileSize[p] = f.size
 		s.fileType[p] = f.typ
-		s.avail[p] = uint32(counts[fi])
-		s.byHash[f.hash] = p
-		s.holderOff[p+1] = counts[fi]
-	}
-	for p := 0; p < published; p++ {
-		s.holderOff[p+1] += s.holderOff[p]
+		s.avail[p] = uint32(n)
+		s.byHash[f.hash] = int32(p)
+		s.holderOff[p+1] = s.holderOff[p] + n
+		s.ent = protocol.AppendFileEntry(s.ent, protocol.FileEntry{
+			Hash: f.hash, Size: f.size, Name: f.name, Type: f.typ, Availability: uint32(n),
+		})
+		s.entOff[p+1] = uint32(len(s.ent))
 	}
 	s.holderEps = make([]protocol.Endpoint, len(holders))
 	fill := make([]int32, published)
@@ -268,18 +302,14 @@ func build(users []user, files []fileRow, holders []holder) *Snapshot {
 		})
 	}
 
-	// Keyword index over published names, spans hash-sorted so a search
-	// reply comes out in the gateway's order without a per-query sort.
+	// Keyword index over published names. Files are visited in index
+	// (= hash) order, so every posting comes out hash-sorted — the
+	// gateway's reply order — without a sort.
 	s.keyword = make(map[string][]int32)
-	for p := 0; p < published; p++ {
-		for _, tok := range tokenize(s.fileName[p]) {
+	for p, name := range s.fileName {
+		for _, tok := range tokenize(name) {
 			s.keyword[tok] = append(s.keyword[tok], int32(p))
 		}
-	}
-	for _, fis := range s.keyword {
-		slices.SortFunc(fis, func(a, b int32) int {
-			return bytes.Compare(s.fileHash[a][:], s.fileHash[b][:])
-		})
 	}
 	return s
 }
@@ -343,16 +373,14 @@ func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
 			holders = append(holders, holder{fi: fi, ep: ep})
 		}
 	}
-	files := make([]fileRow, w.NumFiles())
-	for fi := range files {
-		files[fi] = fileRow{
+	return build(users, w.NumFiles(), func(fi int) fileRow {
+		return fileRow{
 			hash: w.FileHash(fi),
 			name: w.FileName(fi),
 			size: uint64(w.FileSize(fi)),
 			typ:  w.FileKind(fi).String(),
 		}
-	}
-	return build(users, files, holders)
+	}, holders)
 }
 
 // SnapshotFromTrace freezes day index dayIdx (into tr.Days) of a
@@ -382,15 +410,13 @@ func SnapshotFromTrace(tr *trace.Trace, dayIdx int) *Snapshot {
 			holders = append(holders, holder{fi: int32(fi), ep: ep})
 		}
 	})
-	files := make([]fileRow, tr.NumFiles())
-	for fi := range files {
+	return build(users, tr.NumFiles(), func(fi int) fileRow {
 		f := trace.FileID(fi)
-		files[fi] = fileRow{
+		return fileRow{
 			hash: tr.FileHash(f),
 			name: tr.FileName(f),
 			size: uint64(tr.FileSize(f)),
 			typ:  tr.FileKind(f).String(),
 		}
-	}
-	return build(users, files, holders)
+	}, holders)
 }
