@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
+	"edonkey/internal/protocol"
+	"edonkey/internal/serve"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
@@ -161,5 +164,70 @@ func TestGatewayPublishQueries(t *testing.T) {
 	fi1 := sharedFile(1)
 	if n, ok := query(fi1); n == 0 || !ok {
 		t.Fatalf("day 1: freshly released file %d not served (sources %d, in search %v)", fi1, n, ok)
+	}
+}
+
+// The gateway and a serve.Snapshot frozen from the same world day must
+// answer every directory query identically: same users in the same
+// order for the sweep prefixes, same sources for every catalogue file
+// and same entries for every token of every catalogue name.
+func TestGatewayMatchesSnapshot(t *testing.T) {
+	users := func(d protocol.Directory, prefix string) []protocol.UserEntry {
+		var out []protocol.UserEntry
+		d.UsersWithPrefix(prefix, func(u protocol.UserEntry) bool {
+			out = append(out, u)
+			return true
+		})
+		return out
+	}
+	for _, seed := range []uint64{1, 33} {
+		w, err := workload.New(crawlWorldConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(w, Config{PrefixLen: 2, PublishFiles: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.gateway
+		for day := 0; day <= 2; day++ {
+			if day > 0 {
+				w.Step()
+			}
+			g.beginDay(day)
+			snap := serve.SnapshotFromWorld(w, day)
+			label := fmt.Sprintf("seed %d day %d", seed, day)
+			for _, p := range []string{"", "a", "b", "ka", "zz"} {
+				if got, want := users(g, p), users(snap, p); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: prefix %q: gateway %d users, snapshot %d", label, p, len(got), len(want))
+				}
+			}
+			if len(users(g, "")) == 0 {
+				t.Fatalf("%s: nobody logged in", label)
+			}
+			tokens := map[string]bool{}
+			for fi := 0; fi < w.NumFiles(); fi++ {
+				hash := w.FileHash(fi)
+				if got, want := g.SourcesOf(hash), snap.SourcesOf(hash); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: file %d: gateway %d sources, snapshot %d", label, fi, len(got), len(want))
+				}
+				for _, tok := range strings.FieldsFunc(strings.ToLower(w.FileName(fi)), func(r rune) bool {
+					return strings.ContainsRune("_.- ()[]", r)
+				}) {
+					tokens[tok] = true
+				}
+			}
+			hits := 0
+			for tok := range tokens {
+				got, want := g.SearchFiles(tok), snap.SearchFiles(tok)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: keyword %q: gateway %d files, snapshot %d", label, tok, len(got), len(want))
+				}
+				hits += len(got)
+			}
+			if hits == 0 {
+				t.Fatalf("%s: no keyword search found anything", label)
+			}
+		}
 	}
 }
