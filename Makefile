@@ -13,7 +13,7 @@ BENCHCOUNT ?= 1
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: all build test race bench bench-store bench-diff bench-smoke fuzz scale lint fmt clean
+.PHONY: all build test race bench bench-store bench-diff bench-smoke fuzz scale lint fmt loc clean
 
 all: build lint test
 
@@ -39,9 +39,9 @@ bench:
 # bytes_per_peer floor and ns/snap browse cost,
 # BenchmarkRunSimParallel's sharded event loop at one worker vs the
 # machine, BenchmarkSweepInterleaved's sweep scheduler with its
-# ns/point cost, BenchmarkServeTCP's loopback serving hot path with its
-# ns/query cost in both the legacy and hot-path modes); same JSON
-# artefact, much faster than `make bench`.
+# ns/point cost, BenchmarkServeTCP's loopback serving path with its
+# ns/query cost at pipeline depths 1 and 16); same JSON artefact, much
+# faster than `make bench`.
 bench-store:
 	$(GO) test -run='^$$' -bench='^(BenchmarkPairOverlap|BenchmarkSuite|BenchmarkSuiteScale|BenchmarkTraceIO|BenchmarkCrawlScale|BenchmarkRunSimParallel|BenchmarkSweepInterleaved|BenchmarkServeTCP)$$' -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) -benchmem ./... | $(GO) run ./cmd/benchjson -out BENCH_store.json
 
@@ -93,6 +93,12 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go line count of the root module (perfbench is its own
+# module and excluded), so simplicity changes report a reproducible
+# before/after.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

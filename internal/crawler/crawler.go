@@ -28,6 +28,7 @@ import (
 
 	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
+	"edonkey/internal/serve"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
 )
@@ -55,7 +56,7 @@ func DefaultConfig() Config {
 }
 
 // serverEndpoint is where the simulation's indexing server lives.
-var serverEndpoint = protocol.Endpoint{IP: 0xFFFE0001, Port: 4661}
+var serverEndpoint = serve.DefaultServerEndpoint
 
 // crawlerEndpoint is the crawler's own address.
 var crawlerEndpoint = protocol.Endpoint{IP: 0xFFFE0002, Port: 4662}

@@ -1,7 +1,6 @@
 package crawler
 
 import (
-	"bytes"
 	"net"
 	"slices"
 	"sort"
@@ -11,6 +10,7 @@ import (
 
 	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
+	"edonkey/internal/serve"
 	"edonkey/internal/workload"
 )
 
@@ -24,9 +24,11 @@ import (
 //   - the server view: a protocol.ServerCore whose Directory enumerates
 //     online clients straight from the packed nickname/identity/flag
 //     columns (one static nickname-sorted permutation, binary-searched
-//     per query), with the legacy login-probe reachability semantics
-//     (including endpoint-collision losers) replayed from one
-//     deterministic pass per day;
+//     per query), with who logged in and who probes reachable taken
+//     from serve.ForEachLogin, the one login replay; source and keyword
+//     queries answer from a serve.Snapshot of the day, frozen on the
+//     first such query, so the gateway and edserved share one publish
+//     index;
 //   - the client view: a Network resolver that answers Browse dials for
 //     any online client's endpoint with a handler rendering that
 //     client's cache span on the fly.
@@ -58,16 +60,12 @@ type worldGateway struct {
 	participating []bool // logged in today (online and not a collision loser)
 	reachable     []bool // would probe high-ID today
 	browsable     map[identityKey]struct{}
+	// published freezes the day's publish index on the first source or
+	// keyword query; a plain crawl never sends one, so never pays for it.
+	published func() *serve.Snapshot
 
 	mu       sync.Mutex
 	sessions []protocol.UserEntry // wire logins (the crawler itself)
-
-	// hash -> catalogue index, built lazily for the publish-backed
-	// source/keyword queries (nil until first needed) and topped up when
-	// the catalogue has grown since.
-	hashMu   sync.Mutex
-	hashIdx  map[[16]byte]int32
-	hashSize int // catalogue length the index covers
 }
 
 func newWorldGateway(w *workload.World, cfg Config, n *edonkey.Network) (*worldGateway, error) {
@@ -108,58 +106,32 @@ func (g *worldGateway) buildNickOrder() {
 	})
 }
 
-// clientPort mirrors the legacy per-client port assignment.
-func clientPort(i int) uint16 { return uint16(4000 + i%60000) }
-
-func (g *worldGateway) endpointOf(i, day int) protocol.Endpoint {
-	ip, _ := g.w.IdentityAt(i, day)
-	return protocol.Endpoint{IP: ip, Port: clientPort(i)}
-}
-
 // beginDay re-derives the day's server-side state from the world
-// columns: who is logged in, who probes reachable and who owns a
-// contested endpoint. The pass replays the legacy login sequence
-// exactly — clients "log in" in index order, a non-firewalled client
-// claims its endpoint (first claimant wins, later colliders drop off the
-// network for the day, like a real NAT conflict), and a firewalled
-// client counts as reachable only if an earlier client already listens
-// on its endpoint (the probe quirk the boxed path had).
+// columns through serve.ForEachLogin: who is logged in, who probes
+// reachable and who owns each claimed endpoint (the Browse dial
+// targets). It also drops the previous day's publish index.
 func (g *worldGateway) beginDay(day int) {
 	w := g.w
-	n := w.NumClients()
 	g.day = day
 	if g.participating == nil {
-		g.participating = make([]bool, n)
-		g.reachable = make([]bool, n)
+		g.participating = make([]bool, w.NumClients())
+		g.reachable = make([]bool, w.NumClients())
 	}
+	clear(g.participating)
+	clear(g.reachable)
 	g.epOwner = make(map[protocol.Endpoint]int32, w.OnlineCount())
 	g.browsable = make(map[identityKey]struct{}, w.OnlineCount())
+	g.published = sync.OnceValue(func() *serve.Snapshot { return serve.SnapshotFromWorld(w, day) })
 	g.mu.Lock()
 	g.sessions = nil // day boundary: every wire session re-logs
 	g.mu.Unlock()
-	for i := 0; i < n; i++ {
-		g.participating[i] = false
-		g.reachable[i] = false
-		if !w.Online(i) {
-			continue
+	serve.ForEachLogin(w, day, g.epOwner, func(i int, ep protocol.Endpoint, hash [16]byte, reachable bool) {
+		g.participating[i] = true
+		g.reachable[i] = reachable
+		if !w.Firewalled(i) && w.BrowseOK(i) {
+			g.browsable[identityKey{hash, ep.IP}] = struct{}{}
 		}
-		ip, hash := w.IdentityAt(i, day)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(i)}
-		if !w.Firewalled(i) {
-			if _, taken := g.epOwner[ep]; taken {
-				continue // endpoint collision: loses the address today
-			}
-			g.epOwner[ep] = int32(i)
-			g.participating[i] = true
-			g.reachable[i] = true
-			if w.BrowseOK(i) {
-				g.browsable[identityKey{hash, ip}] = struct{}{}
-			}
-		} else {
-			g.participating[i] = true
-			_, g.reachable[i] = g.epOwner[ep]
-		}
-	}
+	})
 }
 
 // wasBrowsable reports whether the identity belonged to a client that
@@ -179,15 +151,12 @@ func (g *worldGateway) userEntry(i int) protocol.UserEntry {
 	ip, hash := g.w.IdentityAt(i, g.day)
 	id := uint32(1) // low ID
 	if g.reachable[i] {
-		id = ip
-		if id < protocol.LowIDThreshold {
-			id += protocol.LowIDThreshold
-		}
+		id = protocol.HighID(ip)
 	}
 	return protocol.UserEntry{
 		Hash:     hash,
 		ClientID: id,
-		Endpoint: protocol.Endpoint{IP: ip, Port: clientPort(i)},
+		Endpoint: protocol.Endpoint{IP: ip, Port: serve.ClientPort(i)},
 		Nickname: g.w.Nickname(i),
 	}
 }
@@ -224,126 +193,18 @@ func (g *worldGateway) UsersWithPrefix(prefix string, yield func(protocol.UserEn
 	}
 }
 
-// fileIndex lazily builds the hash -> catalogue index used by the
-// publish-backed queries, and tops it up whenever the catalogue has
-// released files since the last query (the columns are append-only, so
-// the top-up is just the new suffix). A straight crawl never sends those
-// queries, so the million-peer path never pays for this map.
-func (g *worldGateway) fileIndex() map[[16]byte]int32 {
-	g.hashMu.Lock()
-	defer g.hashMu.Unlock()
-	n := g.w.NumFiles()
-	if g.hashIdx == nil {
-		g.hashIdx = make(map[[16]byte]int32, n)
-	}
-	for fi := g.hashSize; fi < n; fi++ {
-		g.hashIdx[g.w.FileHash(fi)] = int32(fi)
-	}
-	g.hashSize = n
-	return g.hashIdx
-}
-
-// holders returns the logged-in clients sharing catalogue file fi, in
-// client order.
-func (g *worldGateway) holders(fi int32) []int {
-	var out []int
-	for i := 0; i < g.w.NumClients(); i++ {
-		if !g.participating[i] {
-			continue
-		}
-		files, _ := g.w.CacheView(i)
-		if _, ok := slices.BinarySearch(files, fi); ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 func (g *worldGateway) SourcesOf(hash [16]byte) []protocol.Endpoint {
 	if !g.cfg.PublishFiles {
 		return nil // nothing was published to the index
 	}
-	fi, ok := g.fileIndex()[hash]
-	if !ok {
-		return nil
-	}
-	var out []protocol.Endpoint
-	for _, i := range g.holders(fi) {
-		out = append(out, g.endpointOf(i, g.day))
-	}
-	slices.SortFunc(out, func(a, b protocol.Endpoint) int {
-		if a.IP != b.IP {
-			if a.IP < b.IP {
-				return -1
-			}
-			return 1
-		}
-		return int(a.Port) - int(b.Port)
-	})
-	return out
+	return g.published().SourcesOf(hash)
 }
 
 func (g *worldGateway) SearchFiles(keyword string) []protocol.FileEntry {
 	if !g.cfg.PublishFiles {
 		return nil
 	}
-	// One pass over the catalogue names finds the keyword matches, then
-	// one pass over the logged-in caches counts each match's sources —
-	// O(catalogue + cached files) per query regardless of how many files
-	// match, instead of an O(clients) holder scan per match.
-	matches := make(map[int32]uint32)
-	for fi := 0; fi < g.w.NumFiles(); fi++ {
-		if nameHasToken(g.w.FileName(fi), keyword) {
-			matches[int32(fi)] = 0
-		}
-	}
-	if len(matches) == 0 {
-		return nil
-	}
-	for i := 0; i < g.w.NumClients(); i++ {
-		if !g.participating[i] {
-			continue
-		}
-		files, _ := g.w.CacheView(i)
-		for _, fi := range files {
-			if n, ok := matches[fi]; ok {
-				matches[fi] = n + 1
-			}
-		}
-	}
-	var out []protocol.FileEntry
-	for fi, sources := range matches {
-		if sources == 0 {
-			continue // unpublished: no online client shares it
-		}
-		out = append(out, protocol.FileEntry{
-			Hash:         g.w.FileHash(int(fi)),
-			Size:         uint64(g.w.FileSize(int(fi))),
-			Name:         g.w.FileName(int(fi)),
-			Type:         g.w.FileKind(int(fi)).String(),
-			Availability: sources,
-		})
-	}
-	slices.SortFunc(out, func(a, b protocol.FileEntry) int {
-		return bytes.Compare(a.Hash[:], b.Hash[:])
-	})
-	return out
-}
-
-// nameHasToken mirrors the boxed server's name tokenizer.
-func nameHasToken(name, token string) bool {
-	for _, t := range strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	}) {
-		if t == token {
-			return true
-		}
-	}
-	return false
+	return g.published().SearchFiles(keyword)
 }
 
 // --- wire handlers --------------------------------------------------------
@@ -355,28 +216,37 @@ func (g *worldGateway) gwSend(conn net.Conn, m protocol.Message) error {
 	return protocol.WriteMessage(conn, m)
 }
 
-// serveServer answers one connection to the first-tier server endpoint.
+// serveServer answers one connection to the first-tier server endpoint,
+// rendering every reply through ServerCore.AppendReply — the serving
+// hot path — into one reused buffer.
 func (g *worldGateway) serveServer(conn net.Conn) {
 	defer conn.Close()
 	core := g.core()
+	var scratch, reply []byte
 	for {
-		m, err := protocol.ReadMessage(conn)
+		m, sc, err := protocol.ReadMessageInto(conn, scratch)
+		scratch = sc
 		if err != nil {
 			return
 		}
-		var reply protocol.Message
 		switch req := m.(type) {
 		case *protocol.LoginRequest:
-			reply = g.handleLogin(req)
+			reply, _ = protocol.AppendMessage(reply[:0], g.handleLogin(req))
 		case *protocol.OfferFiles:
 			continue // accepted silently, like the original protocol
 		default:
 			var handled bool
-			if reply, handled = core.Handle(m); !handled {
-				reply = &protocol.Reject{Reason: "unsupported request"}
+			if reply, handled = core.AppendReply(reply[:0], m); !handled {
+				reply, _ = protocol.AppendMessage(reply, &protocol.Reject{Reason: "unsupported request"})
 			}
 		}
-		if err := g.gwSend(conn, reply); err != nil {
+		if len(reply) == 0 {
+			return // the reply outgrew MaxMessageSize
+		}
+		if conn.SetDeadline(time.Now().Add(g.net.DialTimeout)) != nil {
+			return
+		}
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 	}
@@ -388,10 +258,7 @@ func (g *worldGateway) serveServer(conn net.Conn) {
 func (g *worldGateway) handleLogin(req *protocol.LoginRequest) protocol.Message {
 	id := uint32(1)
 	if g.net.Listening(req.Endpoint) {
-		id = req.Endpoint.IP
-		if id < protocol.LowIDThreshold {
-			id += protocol.LowIDThreshold
-		}
+		id = protocol.HighID(req.Endpoint.IP)
 	}
 	g.mu.Lock()
 	g.sessions = append(g.sessions, protocol.UserEntry{

@@ -105,8 +105,8 @@ func TestTruncatedDiscoveryIsDeterministic(t *testing.T) {
 }
 
 // The publish-backed queries (source lookup, keyword search) must answer
-// from the live world on every day — including files released after the
-// first query built the hash index.
+// from the live world on every day — including files released after an
+// earlier day's first query froze that day's index.
 func TestGatewayPublishQueries(t *testing.T) {
 	cfg := crawlWorldConfig(33)
 	w, err := workload.New(cfg)

@@ -219,10 +219,10 @@ func (s *Server) Serve(conn net.Conn) {
 // checked with a callback probe, as real servers did: unreachable clients
 // get a low ID.
 func (s *Server) handleLogin(req *protocol.LoginRequest) (*userRecord, protocol.Message) {
-	highID := false
+	reachable := false
 	if probe, err := s.net.Dial(req.Endpoint); err == nil {
 		probe.Close()
-		highID = true
+		reachable = true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,12 +233,8 @@ func (s *Server) handleLogin(req *protocol.LoginRequest) (*userRecord, protocol.
 	}
 	u.endpoint = req.Endpoint
 	u.nickname = req.Nickname
-	if highID {
-		// High IDs encode the address, loosely like the original.
-		u.clientID = req.Endpoint.IP
-		if u.clientID < protocol.LowIDThreshold {
-			u.clientID += protocol.LowIDThreshold
-		}
+	if reachable {
+		u.clientID = protocol.HighID(req.Endpoint.IP)
 	} else {
 		s.nextID--
 		if s.nextID == 0 {
@@ -252,16 +248,6 @@ func (s *Server) handleLogin(req *protocol.LoginRequest) (*userRecord, protocol.
 	return u, &protocol.IDChange{ClientID: u.clientID}
 }
 
-func tokenize(name string) []string {
-	return strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	})
-}
-
 func (s *Server) handleOffer(u *userRecord, req *protocol.OfferFiles) {
 	if u == nil {
 		return // publications require a login
@@ -273,7 +259,7 @@ func (s *Server) handleOffer(u *userRecord, req *protocol.OfferFiles) {
 		if !ok {
 			rec = &fileRecord{entry: f, sources: make(map[[16]byte]protocol.Endpoint)}
 			s.files[f.Hash] = rec
-			for _, tok := range tokenize(f.Name) {
+			for _, tok := range protocol.NameTokens(f.Name) {
 				set := s.keyword[tok]
 				if set == nil {
 					set = make(map[[16]byte]struct{})

@@ -421,6 +421,15 @@ type IDChange struct{ ClientID uint32 }
 // LowIDThreshold separates firewalled (low) from reachable (high) IDs.
 const LowIDThreshold = 0x01000000
 
+// HighID is the client ID a server assigns a reachable client: its IP,
+// lifted out of the low-ID range when the address falls inside it.
+func HighID(ip uint32) uint32 {
+	if ip < LowIDThreshold {
+		return ip + LowIDThreshold
+	}
+	return ip
+}
+
 func (*IDChange) Opcode() byte { return OpIDChange }
 
 func (m *IDChange) appendPayload(dst []byte) []byte {

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -304,6 +305,33 @@ func ReadMessage(r io.Reader) (Message, error) {
 	return m, err
 }
 
+// readStep is the first growth step of a body read that outgrows the
+// scratch; later steps double with the bytes already received.
+const readStep = 64 << 10
+
+// readBody reads a size-byte frame body into scratch. A scratch big
+// enough takes one ReadFull; otherwise the buffer grows only as bytes
+// arrive, so a header that claims a huge frame and then stalls or
+// closes costs one step, not the claimed size.
+func readBody(r io.Reader, scratch []byte, size int) ([]byte, error) {
+	if cap(scratch) >= size {
+		body := scratch[:size]
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	body := scratch[:0]
+	for len(body) < size {
+		n := min(size-len(body), max(readStep, len(body)))
+		body = slices.Grow(body, n)
+		k, err := io.ReadFull(r, body[len(body):len(body)+n])
+		body = body[:len(body)+k]
+		if err != nil {
+			return body, err
+		}
+	}
+	return body, nil
+}
+
 // ReadMessageInto reads and decodes one frame using scratch as the
 // reusable body buffer, returning the (possibly grown) scratch for the
 // next call. Decoded messages never alias the scratch — strings and
@@ -324,11 +352,9 @@ func ReadMessageInto(r io.Reader, scratch []byte) (Message, []byte, error) {
 	if size > MaxMessageSize {
 		return nil, scratch, ErrTooLarge
 	}
-	if uint32(cap(scratch)) < size {
-		scratch = make([]byte, size)
-	}
-	body := scratch[:size]
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, scratch, int(size))
+	scratch = body
+	if err != nil {
 		return nil, scratch, err
 	}
 	op := body[0]

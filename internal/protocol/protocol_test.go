@@ -121,6 +121,44 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 }
 
+// TestClaimedFrameSizeBoundedByArrivedBytes sends a frame header that
+// claims the largest legal frame and then closes: the read must fail
+// without allocating the claimed 16 MiB up front. A scratch already big
+// enough for a frame still takes it in one read.
+func TestClaimedFrameSizeBoundedByArrivedBytes(t *testing.T) {
+	hdr := []byte{ProtoMarker, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[1:], MaxMessageSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadMessageInto(bytes.NewReader(hdr), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("5-byte header allocated %d bytes", alloc)
+	}
+
+	// A body that arrives in full across several growth steps decodes,
+	// and a scratch that already fits the next frame is reused as is.
+	big := &SharedFilesAnswer{Files: make([]FileEntry, 20000)}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, big); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 4*readStep {
+		t.Fatalf("frame of %d bytes does not span several read steps", buf.Len())
+	}
+	frame := buf.Bytes()
+	m, scratch, err := ReadMessageInto(bytes.NewReader(frame), nil)
+	if err != nil || len(m.(*SharedFilesAnswer).Files) != len(big.Files) {
+		t.Fatalf("multi-step read: %v", err)
+	}
+	if _, again, err := ReadMessageInto(bytes.NewReader(frame), scratch); err != nil || &again[0] != &scratch[0] {
+		t.Fatalf("fitting scratch not reused (err %v)", err)
+	}
+}
+
 // TestClaimedCountsBoundedByFrame sends frames of a few bytes whose
 // element counts claim far more entries than the frame holds: each must
 // fail as truncated without allocating in proportion to the claim (an

@@ -1,17 +1,38 @@
 // Server-side request engine. The measurement artefacts the paper's
 // methodology hinges on — the 200-user reply cap on nickname queries,
-// the reject semantics of removed features — live at the protocol layer,
-// so they are implemented here once, over a pluggable Directory, and
-// shared by every server implementation: the boxed in-memory server
-// (internal/edonkey.Server, fed by wire publications) and the columnar
-// world gateway (internal/crawler), whose directory is a view over a
-// million-peer population that never materializes per-client state.
+// the reject semantics of removed features, the high-ID rule and the
+// keyword tokenizer — live at the protocol layer, so they are
+// implemented here once and shared by every server implementation: the
+// serving snapshot (internal/serve, which the crawl gateway also
+// answers through) and the boxed in-memory server (internal/edonkey,
+// fed by wire publications). ServerCore.Handle is the reference
+// renderer; AppendReply is the hot path, pinned byte-identical to it.
 package protocol
 
 import (
 	"encoding/binary"
+	"slices"
 	"strings"
 )
+
+// NameTokens splits a file name into its lowercased keyword tokens, each
+// once: the keywords a server indexes the file under.
+func NameTokens(name string) []string {
+	toks := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
+		switch r {
+		case '_', '.', '-', ' ', '(', ')', '[', ']':
+			return true
+		}
+		return false
+	})
+	out := toks[:0]
+	for _, t := range toks {
+		if !slices.Contains(out, t) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
 
 // Directory is the index a first-tier server consults to answer queries.
 // Implementations define their own enumeration order for UsersWithPrefix;

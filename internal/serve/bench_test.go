@@ -14,13 +14,12 @@ import (
 // BenchmarkServeTCP measures the serving hot path over real loopback
 // TCP: a small connection fleet issues the trace-style query mix
 // (nickname sweeps, keyword searches, source queries, the occasional
-// re-login) against a frozen world day. mode=alloc is the unsharded
-// first cut — a global directory mutex, reference Handle dispatch, one
-// decode allocation per read and one flush per reply — and mode=fast is
-// the shipped path: lock-free snapshot reads, AppendReply rendering
-// into reused frame buffers, pooled read scratch and write coalescing.
-// depth=1 is synchronous request-reply; depth=16 pipelines bursts, the
-// shape where reply coalescing pays. The gated extra is ns/query
+// re-login) against a frozen world day, served by the one request path:
+// lock-free snapshot reads, AppendReply rendering into reused frame
+// buffers, reused read scratch and write coalescing (the mode=fast in
+// the op names is kept so the gated rows stay comparable). depth=1 is
+// synchronous request-reply; depth=16 pipelines bursts, the shape where
+// reply coalescing pays. The gated extra is ns/query
 // (anchor-normalized wall clock); queries/sec is informational. The
 // keyword and source hash come from probeInputs, so every run measures
 // the same reply sizes.
@@ -28,17 +27,15 @@ func BenchmarkServeTCP(b *testing.B) {
 	snap := testSnap()
 	someHash, kw := probeInputs(snap)
 	const conns = 8
-	for _, mode := range []string{"alloc", "fast"} {
-		for _, depth := range []int{1, 16} {
-			b.Run(fmt.Sprintf("mode=%s/conns=%d/depth=%d", mode, conns, depth), func(b *testing.B) {
-				benchServeTCP(b, snap, mode, conns, depth, someHash, kw)
-			})
-		}
+	for _, depth := range []int{1, 16} {
+		b.Run(fmt.Sprintf("mode=fast/conns=%d/depth=%d", conns, depth), func(b *testing.B) {
+			benchServeTCP(b, snap, conns, depth, someHash, kw)
+		})
 	}
 }
 
-func benchServeTCP(b *testing.B, snap *Snapshot, mode string, conns, depth int, someHash [16]byte, kw string) {
-	srv := New(snap, Config{Legacy: mode == "alloc", MaxConns: conns + 1})
+func benchServeTCP(b *testing.B, snap *Snapshot, conns, depth int, someHash [16]byte, kw string) {
+	srv := New(snap, Config{MaxConns: conns + 1})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

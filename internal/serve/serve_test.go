@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"edonkey/internal/edonkey"
 	"edonkey/internal/protocol"
 	"edonkey/internal/trace"
 	"edonkey/internal/workload"
@@ -242,54 +243,75 @@ func replyStream(t *testing.T, conn net.Conn, reqs []protocol.Message) []byte {
 	return out
 }
 
+// expectedStream renders the replies the server owes reqs independently
+// of its request loop: the reference Handle + WriteMessage for core
+// requests, the high-ID IDChange for logins, the Reject for requests the
+// core does not handle, and nothing for publications.
+func expectedStream(t *testing.T, snap *Snapshot, reqs []protocol.Message) []byte {
+	t.Helper()
+	core := protocol.ServerCore{Dir: snap, MaxUserReplies: edonkey.DefaultMaxUserReplies, SupportsUserSearch: true}
+	var out bytes.Buffer
+	for _, req := range reqs {
+		var reply protocol.Message
+		switch req := req.(type) {
+		case *protocol.OfferFiles:
+			continue
+		case *protocol.LoginRequest:
+			reply = &protocol.IDChange{ClientID: protocol.HighID(req.Endpoint.IP)}
+		default:
+			var handled bool
+			if reply, handled = core.Handle(req); !handled {
+				reply = &protocol.Reject{Reason: "unsupported request"}
+			}
+		}
+		if err := protocol.WriteMessage(&out, reply); err != nil {
+			t.Fatalf("%T: reference encode: %v", req, err)
+		}
+	}
+	return out.Bytes()
+}
+
 // TestPipeAndTCPRepliesByteIdentical drives the same request sequence
-// through every serving surface — the in-process pipe path and a real
-// TCP connection, each in both the hot-path and legacy configurations —
-// and requires the four reply byte streams to be identical.
+// through both serving surfaces — the in-process pipe path and a real
+// TCP connection — and requires each reply byte stream to equal the
+// independently rendered expectedStream.
 func TestPipeAndTCPRepliesByteIdentical(t *testing.T) {
 	reqs := append(corpus(t), &protocol.OfferFiles{Files: []protocol.FileEntry{{Name: "x.mp3", Size: 1}}}, &protocol.SearchUser{Query: "b"})
-	var streams [][]byte
-	var labels []string
-	for _, legacy := range []bool{false, true} {
-		srv := New(testSnap(), Config{Legacy: legacy})
+	want := expectedStream(t, testSnap(), reqs)
+	if len(want) == 0 {
+		t.Fatal("empty expected stream")
+	}
+	srv := New(testSnap(), Config{})
 
-		pc, ps := net.Pipe()
-		go srv.ServeConn(ps)
-		pc.SetDeadline(time.Now().Add(30 * time.Second))
-		streams = append(streams, replyStream(t, pc, reqs))
-		labels = append(labels, fmt.Sprintf("pipe/legacy=%v", legacy))
-		pc.Close()
+	pc, ps := net.Pipe()
+	go srv.ServeConn(ps)
+	pc.SetDeadline(time.Now().Add(30 * time.Second))
+	if got := replyStream(t, pc, reqs); !bytes.Equal(got, want) {
+		t.Fatalf("pipe reply stream differs from the reference (%d vs %d bytes)", len(got), len(want))
+	}
+	pc.Close()
 
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() { srv.Serve(ln); close(done) }()
-		tc, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.SetDeadline(time.Now().Add(30 * time.Second))
-		streams = append(streams, replyStream(t, tc, reqs))
-		labels = append(labels, fmt.Sprintf("tcp/legacy=%v", legacy))
-		tc.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-		cancel()
-		<-done
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(streams); i++ {
-		if !bytes.Equal(streams[0], streams[i]) {
-			t.Fatalf("reply stream %s differs from %s (%d vs %d bytes)",
-				labels[i], labels[0], len(streams[i]), len(streams[0]))
-		}
+	done := make(chan struct{})
+	go func() { srv.Serve(ln); close(done) }()
+	tc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(streams[0]) == 0 {
-		t.Fatal("empty reply streams")
+	tc.SetDeadline(time.Now().Add(30 * time.Second))
+	if got := replyStream(t, tc, reqs); !bytes.Equal(got, want) {
+		t.Fatalf("tcp reply stream differs from the reference (%d vs %d bytes)", len(got), len(want))
 	}
+	tc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	<-done
 }
 
 // TestServeStress runs 256 concurrent TCP sessions of mixed traffic

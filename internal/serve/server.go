@@ -33,14 +33,6 @@ type Config struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each reply flush.
 	WriteTimeout time.Duration
-	// MaxUserReplies caps SearchUser replies (0 = the measured 200).
-	MaxUserReplies int
-	// Legacy selects the unsharded first-cut request path: a global
-	// mutex around every directory read, reference Handle dispatch, one
-	// message allocation per read and one flush per reply. It exists as
-	// the A/B baseline for the hot path (BenchmarkServeTCP runs both)
-	// and is wired to edserved -legacy.
-	Legacy bool
 }
 
 func (c Config) withDefaults() Config {
@@ -52,9 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.MaxUserReplies <= 0 {
-		c.MaxUserReplies = edonkey.DefaultMaxUserReplies
 	}
 	return c
 }
@@ -95,10 +84,6 @@ type counters struct {
 type Server struct {
 	cfg  Config
 	snap atomic.Pointer[Snapshot]
-
-	// legacyMu is the first-cut global directory lock, held around every
-	// directory call when cfg.Legacy is set.
-	legacyMu sync.Mutex
 
 	// drainFlag is set before Shutdown's deadline pass; request loops
 	// check it right after re-arming their idle deadline, so whichever
@@ -253,10 +238,6 @@ func (s *Server) ServeConn(conn net.Conn) {
 	defer s.untrack(conn)
 	s.c.active.Add(1)
 	defer s.c.active.Add(-1)
-	if s.cfg.Legacy {
-		s.serveConnLegacy(conn)
-		return
-	}
 	br := bufio.NewReaderSize(conn, 16<<10)
 	bw := bufio.NewWriterSize(conn, 32<<10)
 	var scratch, reply []byte
@@ -311,7 +292,7 @@ func (s *Server) appendReply(dst []byte, m protocol.Message) []byte {
 	switch req := m.(type) {
 	case *protocol.LoginRequest:
 		s.c.logins.Add(1)
-		out, _ := protocol.AppendMessage(dst, &protocol.IDChange{ClientID: highID(req.Endpoint.IP)})
+		out, _ := protocol.AppendMessage(dst, &protocol.IDChange{ClientID: protocol.HighID(req.Endpoint.IP)})
 		return out
 	case *protocol.OfferFiles:
 		s.c.offers.Add(1)
@@ -319,7 +300,7 @@ func (s *Server) appendReply(dst []byte, m protocol.Message) []byte {
 	default:
 		core := protocol.ServerCore{
 			Dir:                s.snap.Load(),
-			MaxUserReplies:     s.cfg.MaxUserReplies,
+			MaxUserReplies:     edonkey.DefaultMaxUserReplies,
 			SupportsUserSearch: true,
 		}
 		out, handled := core.AppendReply(dst, m)
@@ -339,90 +320,5 @@ func (s *Server) appendReply(dst []byte, m protocol.Message) []byte {
 			s.c.serverLists.Add(1)
 		}
 		return out
-	}
-}
-
-// lockedDir is the legacy path's directory: every read takes one global
-// mutex, the contention shape of the unsharded first cut.
-type lockedDir struct {
-	mu *sync.Mutex
-	d  *Snapshot
-}
-
-func (l lockedDir) Servers() []protocol.Endpoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.Servers()
-}
-
-func (l lockedDir) UsersWithPrefix(prefix string, yield func(protocol.UserEntry) bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.d.UsersWithPrefix(prefix, yield)
-}
-
-func (l lockedDir) SourcesOf(hash [16]byte) []protocol.Endpoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.SourcesOf(hash)
-}
-
-func (l lockedDir) SearchFiles(kw string) []protocol.FileEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.d.SearchFiles(kw)
-}
-
-// serveConnLegacy is the first-cut request loop: reference Handle
-// dispatch over the mutex-guarded directory, a fresh decode per read, a
-// materialized reply Message and an unconditional flush per reply. It
-// answers byte-identically to the hot path — BenchmarkServeTCP and the
-// differential tests pin that — just slower.
-func (s *Server) serveConnLegacy(conn net.Conn) {
-	core := protocol.ServerCore{
-		Dir:                lockedDir{mu: &s.legacyMu, d: s.snap.Load()},
-		MaxUserReplies:     s.cfg.MaxUserReplies,
-		SupportsUserSearch: true,
-	}
-	for {
-		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		if s.drainFlag.Load() {
-			return
-		}
-		m, err := protocol.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		s.c.queries.Add(1)
-		var reply protocol.Message
-		switch req := m.(type) {
-		case *protocol.LoginRequest:
-			s.c.logins.Add(1)
-			reply = &protocol.IDChange{ClientID: highID(req.Endpoint.IP)}
-		case *protocol.OfferFiles:
-			s.c.offers.Add(1)
-			continue
-		default:
-			var handled bool
-			if reply, handled = core.Handle(m); !handled {
-				s.c.rejects.Add(1)
-				reply = &protocol.Reject{Reason: "unsupported request"}
-			} else {
-				switch m.(type) {
-				case *protocol.SearchUser:
-					s.c.userSearches.Add(1)
-				case *protocol.SearchRequest:
-					s.c.fileSearches.Add(1)
-				case *protocol.GetSources:
-					s.c.sources.Add(1)
-				case *protocol.GetServerList:
-					s.c.serverLists.Add(1)
-				}
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		if err := protocol.WriteMessage(conn, reply); err != nil {
-			return
-		}
 	}
 }

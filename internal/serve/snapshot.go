@@ -1,15 +1,15 @@
-// Package serve puts the first-tier server on real sockets at
-// production load. The simulation side of the repo answers protocol
-// queries through mutable, mutex-guarded state (the boxed
-// internal/edonkey server, the crawl gateway's per-day maps); that is
-// the right shape for a world that evolves mid-crawl, but a serving
-// daemon spends its life answering queries against a fixed day. This
-// package freezes one day of a world or trace into an immutable,
-// epoch-pinned Snapshot — packed columns, CSR holder postings, a
-// keyword index, the catalogue's search entries pre-encoded — whose read
-// paths take no locks at all, and serves it over TCP with a hot path
-// that renders replies straight into reused frame buffers
-// (protocol.ServerCore.AppendReply).
+// Package serve owns the first-tier server's world rules and puts them
+// on real sockets at production load. ForEachLogin is the one replay of
+// a world day's logins (endpoint claims, collisions, the callback
+// probe); SnapshotFromWorld and SnapshotFromTrace freeze one day into an
+// immutable, epoch-pinned Snapshot — packed columns, CSR holder
+// postings, a keyword index, the catalogue's search entries pre-encoded
+// — whose read paths take no locks at all. Server answers it over TCP
+// with a hot path that renders replies straight into reused frame
+// buffers (protocol.ServerCore.AppendReply). The crawl gateway
+// (internal/crawler) is the other caller: it takes its day's logins
+// from ForEachLogin and its source and keyword replies from a
+// SnapshotFromWorld, so a crawl and edserved answer from the same code.
 //
 // Swapping days is an atomic pointer swap of the whole Snapshot: a new
 // epoch is built off to the side and published, in-flight queries keep
@@ -52,8 +52,7 @@ type Snapshot struct {
 	// search nick and scan forward.
 	nick     []string
 	userHash [][16]byte
-	userIP   []uint32
-	userPort []uint16
+	userEp   []protocol.Endpoint
 	clientID []uint32
 
 	// Published files, numbered in hash order (only files with at least
@@ -97,7 +96,7 @@ func (s *Snapshot) UsersWithPrefix(prefix string, yield func(protocol.UserEntry)
 		u := protocol.UserEntry{
 			Hash:     s.userHash[k],
 			ClientID: s.clientID[k],
-			Endpoint: protocol.Endpoint{IP: s.userIP[k], Port: s.userPort[k]},
+			Endpoint: s.userEp[k],
 			Nickname: s.nick[k],
 		}
 		if !yield(u) {
@@ -166,26 +165,15 @@ func (s *Snapshot) AppendSearchResult(dst []byte, kw string) []byte {
 	return dst
 }
 
-// clientPort mirrors the per-client port assignment used across the
-// simulation stack.
-func clientPort(i int) uint16 { return uint16(4000 + i%60000) }
-
-// highID derives the reachable (high) client ID from an IP, lifting IPs
-// that would collide with the low-ID range.
-func highID(ip uint32) uint32 {
-	if ip < protocol.LowIDThreshold {
-		return ip + protocol.LowIDThreshold
-	}
-	return ip
-}
+// ClientPort is the port population client i listens on.
+func ClientPort(i int) uint16 { return uint16(4000 + i%60000) }
 
 // user is the construction-time row shape; build sorts these once and
 // splits them into the packed columns.
 type user struct {
 	nick string
 	hash [16]byte
-	ip   uint32
-	port uint16
+	ep   protocol.Endpoint
 	id   uint32
 	idx  int
 }
@@ -222,14 +210,12 @@ func build(users []user, nfiles int, row func(fi int) fileRow, holders []holder)
 	})
 	s.nick = make([]string, len(users))
 	s.userHash = make([][16]byte, len(users))
-	s.userIP = make([]uint32, len(users))
-	s.userPort = make([]uint16, len(users))
+	s.userEp = make([]protocol.Endpoint, len(users))
 	s.clientID = make([]uint32, len(users))
 	for k, u := range users {
 		s.nick[k] = u.nick
 		s.userHash[k] = u.hash
-		s.userIP[k] = u.ip
-		s.userPort[k] = u.port
+		s.userEp[k] = u.ep
 		s.clientID[k] = u.id
 	}
 
@@ -307,72 +293,59 @@ func build(users []user, nfiles int, row func(fi int) fileRow, holders []holder)
 	// gateway's reply order — without a sort.
 	s.keyword = make(map[string][]int32)
 	for p, name := range s.fileName {
-		for _, tok := range tokenize(name) {
+		for _, tok := range protocol.NameTokens(name) {
 			s.keyword[tok] = append(s.keyword[tok], int32(p))
 		}
 	}
 	return s
 }
 
-// tokenize mirrors the boxed server's file-name tokenizer, deduplicated
-// (a token appearing twice in one name must index the file once).
-func tokenize(name string) []string {
-	toks := strings.FieldsFunc(strings.ToLower(name), func(r rune) bool {
-		switch r {
-		case '_', '.', '-', ' ', '(', ')', '[', ']':
-			return true
-		}
-		return false
-	})
-	out := toks[:0]
-	for _, t := range toks {
-		if !slices.Contains(out, t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// SnapshotFromWorld freezes the world's given day. It replays the crawl
-// gateway's login-sequence semantics exactly — clients claim endpoints
-// in index order, first claimant wins and later colliders drop off for
-// the day, a firewalled client logs in low-ID and is reachable only
-// through an endpoint an earlier client already claimed — so a query
-// answered from this snapshot matches one answered by the gateway over
-// the same world day.
-func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
-	n := w.NumClients()
-	epOwner := make(map[protocol.Endpoint]int32, w.OnlineCount())
-	users := make([]user, 0, w.OnlineCount())
-	var holders []holder
-	for i := 0; i < n; i++ {
+// ForEachLogin replays the login sequence of the world's current day:
+// online clients log in in index order on (IP, ClientPort(i)). A
+// non-firewalled client claims its endpoint; a later one on a claimed
+// endpoint loses the address for the day (a NAT conflict) and does not
+// log in. A firewalled client logs in low-ID unless an earlier client
+// already listens on its endpoint, where the server's callback probe
+// succeeds. yield sees every logged-in client with its endpoint, user
+// hash and whether it probes reachable (gets a high ID). owner must be
+// empty; it comes back mapping each claimed endpoint to its client.
+func ForEachLogin(w *workload.World, day int, owner map[protocol.Endpoint]int32,
+	yield func(i int, ep protocol.Endpoint, hash [16]byte, reachable bool)) {
+	for i := 0; i < w.NumClients(); i++ {
 		if !w.Online(i) {
 			continue
 		}
 		ip, hash := w.IdentityAt(i, day)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(i)}
-		reachable := false
+		ep := protocol.Endpoint{IP: ip, Port: ClientPort(i)}
+		_, claimed := owner[ep]
 		if !w.Firewalled(i) {
-			if _, taken := epOwner[ep]; taken {
+			if claimed {
 				continue // endpoint collision: off the network today
 			}
-			epOwner[ep] = int32(i)
-			reachable = true
-		} else if _, claimed := epOwner[ep]; claimed {
-			reachable = true // the legacy probe quirk
+			owner[ep] = int32(i)
+			claimed = true
 		}
-		id := uint32(1)
-		if reachable {
-			id = highID(ip)
-		}
-		users = append(users, user{
-			nick: w.Nickname(i), hash: hash, ip: ip, port: ep.Port, id: id, idx: i,
-		})
-		files, _ := w.CacheView(i)
-		for _, fi := range files {
-			holders = append(holders, holder{fi: fi, ep: ep})
-		}
+		yield(i, ep, hash, claimed)
 	}
+}
+
+// SnapshotFromWorld freezes the world's given day: the clients
+// ForEachLogin logs in are the users, their caches the published index.
+func SnapshotFromWorld(w *workload.World, day int) *Snapshot {
+	users := make([]user, 0, w.OnlineCount())
+	var holders []holder
+	ForEachLogin(w, day, make(map[protocol.Endpoint]int32, w.OnlineCount()),
+		func(i int, ep protocol.Endpoint, hash [16]byte, reachable bool) {
+			id := uint32(1)
+			if reachable {
+				id = protocol.HighID(ep.IP)
+			}
+			users = append(users, user{nick: w.Nickname(i), hash: hash, ep: ep, id: id, idx: i})
+			files, _ := w.CacheView(i)
+			for _, fi := range files {
+				holders = append(holders, holder{fi: fi, ep: ep})
+			}
+		})
 	return build(users, w.NumFiles(), func(fi int) fileRow {
 		return fileRow{
 			hash: w.FileHash(fi),
@@ -392,20 +365,12 @@ func SnapshotFromTrace(tr *trace.Trace, dayIdx int) *Snapshot {
 	users := make([]user, 0, d.ObservedRows())
 	var holders []holder
 	d.ForEachRow(func(p trace.PeerID, row []trace.FileID) {
-		ip := tr.PeerIP(p)
-		ep := protocol.Endpoint{IP: ip, Port: clientPort(int(p))}
+		ep := protocol.Endpoint{IP: tr.PeerIP(p), Port: ClientPort(int(p))}
 		id := uint32(1)
 		if !tr.PeerFirewalled(p) {
-			id = highID(ip)
+			id = protocol.HighID(ep.IP)
 		}
-		users = append(users, user{
-			nick: tr.PeerNickname(p),
-			hash: tr.PeerUserHash(p),
-			ip:   ip,
-			port: ep.Port,
-			id:   id,
-			idx:  int(p),
-		})
+		users = append(users, user{nick: tr.PeerNickname(p), hash: tr.PeerUserHash(p), ep: ep, id: id, idx: int(p)})
 		for _, fi := range row {
 			holders = append(holders, holder{fi: int32(fi), ep: ep})
 		}
