@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
+	"slices"
+	"sync"
 	"testing"
 
 	"edonkey/internal/protocol"
@@ -153,8 +154,20 @@ func TestGatewayPublishQueries(t *testing.T) {
 
 	g.beginDay(0)
 	fi0 := sharedFile(-90)
-	if n, ok := query(fi0); n == 0 || !ok {
-		t.Fatalf("day 0: file %d not served (sources %d, in search %v)", fi0, n, ok)
+	// Server connections query concurrently: the first source query of
+	// the day freezes the index once, and every caller sees the same one.
+	counts := make([]int, 4)
+	var wg sync.WaitGroup
+	for k := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			counts[k] = len(g.SourcesOf(w.FileHash(int(fi0))))
+		}()
+	}
+	wg.Wait()
+	if n, ok := query(fi0); n == 0 || !ok || slices.ContainsFunc(counts, func(c int) bool { return c != n }) {
+		t.Fatalf("day 0: file %d not served (sources %d, concurrent %v, in search %v)", fi0, n, counts, ok)
 	}
 
 	// Advance a day; a file released on day 1 enters caches after the
@@ -211,9 +224,7 @@ func TestGatewayMatchesSnapshot(t *testing.T) {
 				if got, want := g.SourcesOf(hash), snap.SourcesOf(hash); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: file %d: gateway %d sources, snapshot %d", label, fi, len(got), len(want))
 				}
-				for _, tok := range strings.FieldsFunc(strings.ToLower(w.FileName(fi)), func(r rune) bool {
-					return strings.ContainsRune("_.- ()[]", r)
-				}) {
+				for _, tok := range protocol.NameTokens(w.FileName(fi)) {
 					tokens[tok] = true
 				}
 			}

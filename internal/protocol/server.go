@@ -3,10 +3,11 @@
 // the reject semantics of removed features, the high-ID rule and the
 // keyword tokenizer — live at the protocol layer, so they are
 // implemented here once and shared by every server implementation: the
-// serving snapshot (internal/serve, which the crawl gateway also
-// answers through) and the boxed in-memory server (internal/edonkey,
-// fed by wire publications). ServerCore.Handle is the reference
-// renderer; AppendReply is the hot path, pinned byte-identical to it.
+// serving snapshot and the crawl gateway (internal/serve owns the world
+// rules; the gateway in internal/crawler reuses its login replay and
+// publish index) and the boxed in-memory server (internal/edonkey, fed
+// by wire publications). ServerCore.Handle is the reference renderer;
+// AppendReply is the hot path, pinned byte-identical to it.
 package protocol
 
 import (

@@ -300,8 +300,9 @@ func build(users []user, nfiles int, row func(fi int) fileRow, holders []holder)
 	return s
 }
 
-// ForEachLogin replays the login sequence of the world's current day:
-// online clients log in in index order on (IP, ClientPort(i)). A
+// ForEachLogin replays the logins of day, the world's current day (the
+// world keeps online flags for that day only): online clients log in
+// in index order on (IP, ClientPort(i)). A
 // non-firewalled client claims its endpoint; a later one on a claimed
 // endpoint loses the address for the day (a NAT conflict) and does not
 // log in. A firewalled client logs in low-ID unless an earlier client
@@ -370,7 +371,13 @@ func SnapshotFromTrace(tr *trace.Trace, dayIdx int) *Snapshot {
 		if !tr.PeerFirewalled(p) {
 			id = protocol.HighID(ep.IP)
 		}
-		users = append(users, user{nick: tr.PeerNickname(p), hash: tr.PeerUserHash(p), ep: ep, id: id, idx: int(p)})
+		users = append(users, user{
+			nick: tr.PeerNickname(p),
+			hash: tr.PeerUserHash(p),
+			ep:   ep,
+			id:   id,
+			idx:  int(p),
+		})
 		for _, fi := range row {
 			holders = append(holders, holder{fi: int32(fi), ep: ep})
 		}
